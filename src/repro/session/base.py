@@ -27,6 +27,12 @@ import json
 from typing import Any, ClassVar
 
 
+#: Instance ``__dict__`` slot a frozen dataclass caches its digest in.
+#: Never a dataclass field, so ``asdict``, ``==``, ``hash`` and every
+#: persisted key ignore it; pickling carries it along unchanged.
+_DIGEST_SLOT = "_fingerprint_digest"
+
+
 def fingerprint(*parts: Any) -> str:
     """Stable short hash of dataclass configuration objects.
 
@@ -34,7 +40,30 @@ def fingerprint(*parts: Any) -> str:
     caches, the on-disk store layout and scenario identities all hash
     through here, which is what lets a result persisted by one process
     warm any later one.
+
+    A single frozen-dataclass argument (a ``MachineSpec``, say) is
+    hashed once per instance: the digest is cached on the instance
+    itself, so re-keying the same value costs a dict lookup.  Frozen
+    dataclasses are value objects here — derivation goes through
+    :func:`dataclasses.replace`, which builds a fresh, uncached
+    instance.
     """
+    if len(parts) == 1:
+        value = parts[0]
+        state = getattr(value, "__dict__", None)
+        if state is not None:
+            cached = state.get(_DIGEST_SLOT)
+            if cached is not None:
+                return cached
+            params = getattr(type(value), "__dataclass_params__", None)
+            if params is not None and params.frozen:
+                digest = _digest(parts)
+                object.__setattr__(value, _DIGEST_SLOT, digest)
+                return digest
+    return _digest(parts)
+
+
+def _digest(parts: tuple[Any, ...]) -> str:
     blob = json.dumps(
         [
             dataclasses.asdict(p) if hasattr(p, "__dataclass_fields__") else p

@@ -318,12 +318,37 @@ class Scenario:
         payload shape invalidates every persisted scenario entry, like
         bumping the store schema.
         """
+        cached = self.__dict__.get("_scenario_digest")
+        if cached is not None:
+            return cached
         if not self.cacheable:
             raise ScenarioError(
                 "scenarios with in-band profiles or solo overrides have no "
                 "stable fingerprint (and are never cached)"
             )
-        return fingerprint("scenario", self.payload())
+        digest = fingerprint("scenario", self.payload())
+        # Cached on the instance like fingerprint()'s own frozen values,
+        # never as a field: ==, hash and payload ignore it.
+        object.__setattr__(self, "_scenario_digest", digest)
+        return digest
+
+    def canonical(self, llc_policy: str) -> "Scenario":
+        """This scenario's cache identity under an engine whose
+        effective LLC policy is ``llc_policy``.
+
+        ``llc_policy=None`` collapses onto the effective policy, so the
+        session default and the same policy named explicitly share one
+        key.  The canonical copy is built once per instance and policy,
+        so its cached fingerprint serves every later lookup of this
+        scenario object.
+        """
+        if self.llc_policy == llc_policy or not self.cacheable:
+            return self
+        cached = self.__dict__.get("_canonical")
+        if cached is None or cached.llc_policy != llc_policy:
+            cached = replace(self, llc_policy=llc_policy)
+            object.__setattr__(self, "_canonical", cached)
+        return cached
 
     def corun_key(self) -> tuple[str, str, int, int] | None:
         """The legacy pair key ``(fg, bg, fg_threads, bg_threads)`` when

@@ -41,7 +41,7 @@ import inspect
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from repro.core.experiment import ExperimentConfig, Jitter
@@ -199,6 +199,13 @@ class Session:
         # (configs are value objects — derivation goes through
         # dataclasses.replace, never in-place mutation).
         self._engine_fps: dict[tuple[int, int], tuple[str, Any, Any]] = {}
+        # (smt, llc_policy) -> the (spec, engine config) a scenario of
+        # that shape runs under, resolved once: scenario_engine_parts
+        # derives fresh variant objects per call, and each would pin a
+        # new _engine_fps entry.
+        self._variants: dict[
+            tuple[bool, str | None], tuple[MachineSpec, EngineConfig]
+        ] = {}
         self._solos: dict[tuple[str, str, int], SoloRunResult] = {}
         self._coruns: dict[tuple[str, str, str, int, int], CoRunResult] = {}
         #: N-way scenario cache keyed by (engine_fp, scenario fingerprint);
@@ -442,15 +449,20 @@ class Session:
         The canonical scenario collapses ``llc_policy=None`` onto the
         *effective* engine policy, so the session default and the same
         policy named explicitly share one cache identity — a
-        ``policy_ablation`` never re-simulates the default cell.
+        ``policy_ablation`` never re-simulates the default cell.  Both
+        the engine variant and the canonical scenario are resolved once
+        (per session and per scenario object respectively), so a cell
+        is keyed once however many lookups its call chain makes.
         """
-        spec, cfg = scenario_engine_parts(self.config, scenario)
+        variant = (scenario.smt, scenario.llc_policy)
+        parts = self._variants.get(variant)
+        if parts is None:
+            parts = self._variants[variant] = scenario_engine_parts(
+                self.config, scenario
+            )
+        spec, cfg = parts
         spec_override = spec if scenario.smt else None
-        canon = (
-            scenario
-            if scenario.llc_policy == cfg.llc_policy or not scenario.cacheable
-            else replace(scenario, llc_policy=cfg.llc_policy)
-        )
+        canon = scenario.canonical(cfg.llc_policy)
         return self.engine_fingerprint(cfg, spec_override), cfg, spec_override, canon
 
     def _scenario_solo_refs(

@@ -12,6 +12,8 @@ Covers the acceptance criteria of the scenario redesign:
   store's scenario tier.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import ExperimentConfig
@@ -43,18 +45,20 @@ class TestScenarioValueObject:
     def test_fingerprint_golden_values(self):
         # Pinned: a change here means every persisted scenario entry
         # (and the warm-store acceptance guarantee) is invalidated.
-        assert Scenario.pair("G-CC", "fotonik3d", threads=4).fingerprint == "8fa52c44a33d"
-        assert (
-            Scenario.of("G-CC:2", "fotonik3d:2", "swaptions:2").fingerprint
-            == "807460054468"
-        )
-        assert (
-            Scenario.of(
-                "G-CC:2", "fotonik3d:2", "swaptions:2", llc_policy="static"
-            ).fingerprint
-            == "8000f40571a1"
-        )
-        assert Scenario.of("G-CC:8", "Stream:8", smt=True).fingerprint == "bcef8e15c65d"
+        golden = [
+            (Scenario.pair("G-CC", "fotonik3d", threads=4), "8fa52c44a33d"),
+            (Scenario.of("G-CC:2", "fotonik3d:2", "swaptions:2"), "807460054468"),
+            (
+                Scenario.of("G-CC:2", "fotonik3d:2", "swaptions:2", llc_policy="static"),
+                "8000f40571a1",
+            ),
+            (Scenario.of("G-CC:8", "Stream:8", smt=True), "bcef8e15c65d"),
+        ]
+        for s, digest in golden:
+            assert s.fingerprint == digest
+            # The instance-cached digest and a pickled copy agree.
+            assert s.fingerprint == digest
+            assert pickle.loads(pickle.dumps(s)).fingerprint == digest
 
     def test_fingerprint_is_order_sensitive(self):
         a = Scenario.of("G-CC:2", "swaptions:2", "fotonik3d:2")
