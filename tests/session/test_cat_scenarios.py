@@ -244,9 +244,9 @@ class TestCatMeasurement:
         from repro.cli import main
 
         assert main(["fig5", "--ways", "G-CC:0x3", "--workloads", "G-CC"]) == 2
-        assert "--ways/--pin" in capsys.readouterr().err
+        assert "unrecognized arguments: --ways" in capsys.readouterr().err
         assert main(["cat-sweep", "--pin", "G-CC:0", "--workloads", "G-CC"]) == 2
-        assert "--ways/--pin" in capsys.readouterr().err
+        assert "unrecognized arguments: --pin" in capsys.readouterr().err
         # Even bare `scenario` (no run subcommand) refuses them.
         assert main(["scenario", "--ways", "G-CC:0x3", "--workloads", "G-CC"]) == 2
         capsys.readouterr()

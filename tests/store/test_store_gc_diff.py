@@ -202,4 +202,4 @@ class TestStoreDiff:
 
     def test_cli_diff_requires_two_paths(self, capsys):
         assert main(["store", "diff", "just-one"]) == 2
-        assert "two manifest paths" in capsys.readouterr().err
+        assert "required: MANIFEST_B" in capsys.readouterr().err

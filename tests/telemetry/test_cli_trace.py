@@ -107,7 +107,7 @@ class TestTraceCommand:
 
     def test_unknown_subcommand(self, traced_store, capsys):
         code, _, err = run(capsys, ["trace", "bogus", "--store", traced_store])
-        assert code == 2 and "unknown trace subcommand" in err
+        assert code == 2 and "invalid choice: 'bogus'" in err
 
 
 class TestStoreStats:
@@ -132,19 +132,19 @@ class TestStoreStats:
 class TestFlagGuards:
     def test_format_only_for_trace(self, capsys):
         code, _, err = run(capsys, ["fig2", "--format", "chrome"])
-        assert code == 2 and "--format/--limit" in err
+        assert code == 2 and "unrecognized arguments: --format" in err
 
     def test_out_only_for_trace_export_and_traffic_gen(self, capsys):
         code, _, err = run(capsys, ["fig2", "--out", "x.json"])
-        assert code == 2 and "--out only applies" in err
+        assert code == 2 and "unrecognized arguments: --out" in err
 
     def test_json_guard_mentions_new_surfaces(self, capsys):
         code, _, err = run(capsys, ["fig2", "--json"])
-        assert code == 2 and "store ls/stats" in err
+        assert code == 2 and "unrecognized arguments: --json" in err
 
     def test_quiet_verbose_conflict(self, capsys):
         code, _, err = run(capsys, ["-q", "-v", "list"])
-        assert code == 2 and "mutually exclusive" in err
+        assert code == 2 and "not allowed with argument -q/--quiet" in err
 
 
 class TestLoggingFlags:
