@@ -102,6 +102,37 @@ def subcommands(parser: argparse.ArgumentParser) -> dict:
     return {}
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Command dispatch under which a repeatable flag accumulates across
+    the command.
+
+    argparse parses everything after a command into a fresh namespace
+    and copies it over the one parsed so far, so ``--policy baseline
+    sched replay --policy interference`` would keep ``interference``
+    alone and ``-v fig5 -v`` would count one ``-v``.  Here ``append``
+    and ``count`` values given on both sides are added up instead.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        repeatable = _repeatable(self._name_parser_map[values[0]])
+        before = {d: vars(namespace).pop(d) for d in repeatable & vars(namespace).keys()}
+        super().__call__(parser, namespace, values, option_string)
+        for dest, value in before.items():
+            setattr(namespace, dest, value + getattr(namespace, dest, type(value)()))
+
+
+def _repeatable(parser: argparse.ArgumentParser) -> "set[str]":
+    """Dests of the ``append``/``count`` flags of ``parser`` and every
+    command nested under it."""
+    dests = {
+        a.dest for a in parser._actions
+        if isinstance(a, (argparse._AppendAction, argparse._CountAction))
+    }
+    for sub in subcommands(parser).values():
+        dests |= _repeatable(sub)
+    return dests
+
+
 def _grammar() -> "tuple[argparse.ArgumentParser, dict]":
     """The command tree, plus ``{dest: (default, flag)}`` for every flag.
 
@@ -293,7 +324,9 @@ def _grammar() -> "tuple[argparse.ArgumentParser, dict]":
         return parser
 
     def nest(parser):
-        return parser.add_subparsers(metavar="<subcommand>", title="subcommands")
+        return parser.add_subparsers(
+            metavar="<subcommand>", title="subcommands", action=_Subcommands
+        )
 
     def command(name, help, default, subs):
         """A command whose bare form runs its ``default`` subcommand."""
@@ -302,7 +335,8 @@ def _grammar() -> "tuple[argparse.ArgumentParser, dict]":
         return [leaf(cmd, sub, *spec) for sub, spec in subs.items()]
 
     commands = root.add_subparsers(
-        dest="command", metavar="<command>", required=True, title="commands"
+        dest="command", metavar="<command>", required=True, title="commands",
+        action=_Subcommands,
     )
     root.usage = "%(prog)s [global flags] <command> [<subcommand>] [flags]"
     for name in runner_names():

@@ -64,10 +64,12 @@ class BandwidthSweepRunner(Runner):
     ) -> BandwidthResult:
         monitor = PcmMemoryMonitor(granularity_s=pcm_granularity_s)
         result = BandwidthResult()
+        keys = [(app, t) for app in session.config.workloads for t in threads]
+        solos = dict(zip(keys, session.solos(keys)))
         for app in session.config.workloads:
             per_threads: dict[int, float] = {}
             for t in threads:
-                solo = session.solo(app, threads=t)
+                solo = solos[app, t]
                 report = monitor.observe(solo.timeline)
                 bw = report.average_bytes_per_s(app)
                 if bw == 0.0:  # run shorter than one PCM window: use exact

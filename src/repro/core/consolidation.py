@@ -133,7 +133,10 @@ class ConsolidationRunner(Runner):
         # (cell_value normalizes against them); background rates are
         # resolved on demand by the scenario planner, and only for
         # cells the caches do not already hold.
-        fg_solos = {fg: session.solo_runtime(fg, threads=threads) for fg in fgs}
+        fg_solos = {
+            fg: solo.runtime_s
+            for fg, solo in zip(fgs, session.solos((fg, threads) for fg in fgs))
+        }
         sweep = ScenarioSet.pairwise(fgs, bgs, threads=threads)
         for scenario, sres in zip(sweep, session.run_scenarios(sweep)):
             fg, bg = (p.workload for p in scenario.placements)

@@ -118,11 +118,8 @@ class PairBandwidthRunner(Runner):
         config = session.config
         threads = config.threads
         result = PairBandwidthResult()
-        solos = {
-            app: session.solo(app, threads=threads)
-            for pair in pairs
-            for app in pair
-        }
+        apps = [app for pair in pairs for app in pair]
+        solos = dict(zip(apps, session.solos((app, threads) for app in apps)))
         scenarios = [Scenario.pair(a, b, threads=threads) for a, b in pairs]
         for (a, b), sres in zip(pairs, session.run_scenarios(scenarios)):
             result.rows.append(

@@ -37,6 +37,40 @@ from repro.workloads.registry import get_profile
 DEFAULT_LEVELS: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    run = np.cumsum(starts) - 1
+    bounds = np.r_[np.flatnonzero(starts), values.size]
+    ranks = np.empty(values.size)
+    # A tie run over sorted positions [a, b) holds ranks a+1 .. b.
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return ranks
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman rank correlation: the Pearson correlation of the two
+    samples' average ranks.
+
+    Bit-identical to ``scipy.stats.spearmanr(x, y).statistic`` for 1-D
+    samples (same ranks, same ``np.corrcoef`` layout), without importing
+    ``scipy.stats``, which costs more than the rest of the ``predict``
+    artifact.  NaN, without a warning, when a sample is constant, holds
+    a NaN, or has fewer than two points.
+    """
+    data = np.column_stack((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    if (
+        data.shape[0] < 2
+        or np.isnan(data).any()
+        or (data[0] == data).all(axis=0).any()
+    ):
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(data[:, 0]), _average_ranks(data[:, 1])])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def bubble_profile(level: float, *, kinstr: float = 2.0e8) -> WorkloadProfile:
     """The tunable memory balloon at ``level`` in [0, 1].
 
@@ -263,8 +297,6 @@ class BubbleUpPredictor:
         Returns mean absolute error, the fraction of cells within 10%,
         and the Spearman rank correlation over all cells.
         """
-        from scipy.stats import spearmanr
-
         pred, real = [], []
         for fg in truth.workloads:
             for bg in truth.workloads:
@@ -275,7 +307,7 @@ class BubbleUpPredictor:
             raise ExperimentError("no overlapping cells to evaluate")
         pred_a, real_a = np.asarray(pred), np.asarray(real)
         err = np.abs(pred_a - real_a)
-        rho = float(spearmanr(pred_a, real_a).statistic)
+        rho = spearman_rho(pred_a, real_a)
         return {
             "cells": float(len(pred)),
             "mae": float(err.mean()),

@@ -61,15 +61,12 @@ class PrefetchSensitivityRunner(Runner):
             raise ExperimentError("baseline config must have prefetchers enabled")
         off_config = replace(config.engine_config, prefetchers_on=False)
         result = PrefetchResult()
-        for app in config.workloads:
-            t_on = session.jitter("fig4", app, "on").measure(
-                session.solo_runtime(app, threads=config.threads)
-            )
-            t_off = session.jitter("fig4", app, "off").measure(
-                session.solo_runtime(
-                    app, threads=config.threads, engine_config=off_config
-                )
-            )
+        keys = [(app, config.threads) for app in config.workloads]
+        solos_on = session.solos(keys)
+        solos_off = session.solos(keys, engine_config=off_config)
+        for app, on, off in zip(config.workloads, solos_on, solos_off):
+            t_on = session.jitter("fig4", app, "on").measure(on.runtime_s)
+            t_off = session.jitter("fig4", app, "off").measure(off.runtime_s)
             result.ratios[app] = t_on / t_off if t_off > 0 else 1.0
         return result
 

@@ -47,10 +47,14 @@ class SoloCardRunner(Runner):
         config = session.config
         vtune = VtuneProfiler()
         cards = []
+        keys = [
+            (app, t) for app in config.workloads for t in (config.threads, 1, 8)
+        ]
+        solos = dict(zip(keys, session.solos(keys)))
         for app in config.workloads:
-            solo = session.solo(app, threads=config.threads)
-            t1 = session.solo_runtime(app, threads=1)
-            t8 = session.solo_runtime(app, threads=8)
+            solo = solos[app, config.threads]
+            t1 = solos[app, 1].runtime_s
+            t8 = solos[app, 8].runtime_s
             tot = solo.metrics.total
             cards.append("\n".join([
                 f"== {app} ({suite_of(app)}) ==",

@@ -103,16 +103,19 @@ class ScalabilityRunner(Runner):
 
     def execute(self, session, *, max_threads: int = 8) -> ScalabilityResult:
         result = ScalabilityResult(max_threads=max_threads)
-        for app in session.config.workloads:
-            t1 = session.jitter("fig2", app, 1).measure(
-                session.solo_runtime(app, threads=1)
-            )
+        apps = session.config.workloads
+        keys = [
+            (app, t) for app in apps for t in [1, *range(2, max_threads + 1)]
+        ]
+        runtime = {
+            key: solo.runtime_s for key, solo in zip(keys, session.solos(keys))
+        }
+        for app in apps:
+            t1 = session.jitter("fig2", app, 1).measure(runtime[app, 1])
             curve: dict[int, float] = {}
             for t in range(1, max_threads + 1):
                 rt = (
-                    session.jitter("fig2", app, t).measure(
-                        session.solo_runtime(app, threads=t)
-                    )
+                    session.jitter("fig2", app, t).measure(runtime[app, t])
                     if t > 1
                     else t1
                 )

@@ -948,7 +948,11 @@ class _BatchRunner:
             results.append(
                 ScenarioRunResult(
                     apps=apps,
-                    fg_solo_runtime_s=cell.fg_solo_runtime_s,
+                    fg_solo_runtime_s=(
+                        runtime
+                        if cell.fg_solo_runtime_s is None
+                        else cell.fg_solo_runtime_s
+                    ),
                     bg_relative_rates=relative_rates,
                     timeline=timeline,
                 )
@@ -1015,7 +1019,9 @@ def _solve_batch_impl(
 def _prepare_cell(engine, cell: BatchCell) -> BatchCell:
     """Validate a cell exactly like the scalar ``_scenario_run`` prologue
     and fill in missing solo references (scalar engine, so references
-    are bit-identical either way)."""
+    are bit-identical either way).  A 1-app cell without a way mask or
+    pinning keeps a missing reference: its own runtime is the solo
+    runtime."""
     profiles = cell.profiles
     threads = cell.threads
     if not profiles:
@@ -1040,7 +1046,10 @@ def _prepare_cell(engine, cell: BatchCell) -> BatchCell:
         list(cell.pinnings) if cell.pinnings is not None else None,
     )
     fg_solo = cell.fg_solo_runtime_s
-    if fg_solo is None:
+    is_solo = len(profiles) == 1 and llc_ways == [None] and pinnings == [None]
+    if fg_solo is None and not is_solo:
+        # An unrestricted 1-app cell *is* its solo run: _assemble takes
+        # the reference from the cell's own runtime instead.
         fg_solo = engine.solo_run(profiles[0], threads=threads[0]).runtime_s
     bg_rates = cell.bg_solo_rates
     if bg_rates is None:

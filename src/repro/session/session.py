@@ -46,6 +46,7 @@ from typing import Any, Iterable
 
 from repro.core.experiment import ExperimentConfig, Jitter
 from repro.engine import (
+    BatchCell,
     CoRunResult,
     EngineConfig,
     IntervalEngine,
@@ -275,27 +276,74 @@ class Session:
         hit), then simulation — which writes behind to both.  Explicit
         ``profile`` overrides bypass the disk tier: the store keys by
         name, and only registry-resolved profiles are guaranteed stable
-        under one engine fingerprint.
+        under one engine fingerprint.  This is the one-key case of
+        :meth:`solos`.
         """
+        return self._resolve_solos(
+            [(name, threads, profile)], engine_config, spec
+        )[0]
+
+    def solos(
+        self,
+        keys: "Iterable[tuple[str, int]]",
+        *,
+        engine_config: EngineConfig | None = None,
+        spec: MachineSpec | None = None,
+    ) -> list[SoloRunResult]:
+        """Many solo runs at once, one result per ``(workload, threads)``
+        key in key order: the many-key twin of :meth:`solo`.
+
+        Each key is looked up exactly as :meth:`solo` would in a loop
+        (a repeated key counts as a memory hit), and the misses are
+        simulated together: one stacked :func:`repro.engine.solve_batch`
+        call when more than one key misses and ``engine_batch`` is on,
+        else one scalar solve per key.  Results are bit-identical either
+        way and write behind to memory and the store.
+        """
+        return self._resolve_solos(
+            [(name, threads, None) for name, threads in keys], engine_config, spec
+        )
+
+    def _resolve_solos(
+        self,
+        keys: "list[tuple[str, int, WorkloadProfile | None]]",
+        engine_config: EngineConfig | None,
+        spec: MachineSpec | None,
+    ) -> list[SoloRunResult]:
         engine_fp = self.engine_fingerprint(engine_config, spec)
-        key = (engine_fp, name, threads)
-        hit = self._solos.get(key)
-        if hit is not None:
-            self.stats.solo_hits += 1
-            return hit
-        if self.store is not None and profile is None:
-            disk = self.store.get_solo(engine_fp, name, threads)
-            if disk is not None:
-                self.stats.solo_disk_hits += 1
-                self._solos[key] = disk
-                return disk
-        self.stats.solo_misses += 1
-        prof = profile if profile is not None else get_profile(name)
-        res = self.engine(engine_config, spec).solo_run(prof, threads=threads)
-        self._solos[key] = res
-        if self.store is not None and profile is None:
-            self.store.put_solo(engine_fp, name, threads, res)
-        return res
+        missing: "dict[tuple[str, int], WorkloadProfile | None]" = {}
+        for name, threads, profile in keys:
+            key = (engine_fp, name, threads)
+            if key in self._solos or (name, threads) in missing:
+                self.stats.solo_hits += 1
+                continue
+            if self.store is not None and profile is None:
+                disk = self.store.get_solo(engine_fp, name, threads)
+                if disk is not None:
+                    self.stats.solo_disk_hits += 1
+                    self._solos[key] = disk
+                    continue
+            missing[(name, threads)] = profile
+        if missing:
+            self.stats.solo_misses += len(missing)
+            runs = [
+                (prof if prof is not None else get_profile(name), threads)
+                for (name, threads), prof in missing.items()
+            ]
+            engine = self.engine(engine_config, spec)
+            if self.engine_batch and len(runs) > 1:
+                cells = [BatchCell(profiles=(prof,), threads=(t,)) for prof, t in runs]
+                results = [
+                    SoloRunResult(metrics=res.fg, timeline=res.timeline)
+                    for res in engine.solve_batch(cells)
+                ]
+            else:
+                results = [engine.solo_run(prof, threads=t) for prof, t in runs]
+            for ((name, threads), profile), res in zip(missing.items(), results):
+                self._solos[(engine_fp, name, threads)] = res
+                if self.store is not None and profile is None:
+                    self.store.put_solo(engine_fp, name, threads, res)
+        return [self._solos[(engine_fp, name, threads)] for name, threads, _ in keys]
 
     def solo_runtime(
         self,

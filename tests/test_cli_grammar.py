@@ -148,3 +148,24 @@ def test_exclusive_flags_stay_exclusive_across_the_command(capsys):
     assert "--traffic: not allowed with argument --trace" in capsys.readouterr().err
     assert main(["-q", "fig5", "-v"]) == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    ("--policy baseline sched replay --policy interference",
+     "policy", ["baseline", "interference"]),
+    ("--policy baseline sched --policy interference replay --policy baseline",
+     "policy", ["baseline", "interference", "baseline"]),
+    ("--policy baseline sched replay", "policy", ["baseline"]),
+    ("sched replay --policy interference", "policy", ["interference"]),
+    ("-v fig5 -v", "verbose", 2),
+    ("-vv fig5 -v", "verbose", 3),
+    ("-v store -v ls -v --store S", "verbose", 3),
+    ("-v fig5", "verbose", 1),
+    ("fig5", "verbose", 0),
+])
+def test_repeatable_flags_accumulate_across_the_command(argv, dest, value):
+    # argparse parses the part after a command into a fresh namespace;
+    # an append or count flag given on both sides must add up, not
+    # keep the later side alone.
+    assert getattr(parse_args(argv.split()), dest) == value
