@@ -31,8 +31,10 @@ class RunRecord:
     #: executor, duration, per-run cache hit/miss deltas.
     provenance: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self, *, indent: int | None = None) -> str:
-        """Serialize artifact + provenance + encoded result payload."""
+    def to_json(self) -> str:
+        """Serialize artifact + provenance + encoded result payload as
+        one line of compact JSON (the C encoder's fast path: no indent).
+        This is also the byte format of a record file in a store."""
         from repro.session.registry import get_runner
 
         payload = get_runner(self.artifact).encode(self.result)
@@ -41,13 +43,14 @@ class RunRecord:
                 "artifact": self.artifact,
                 "provenance": self.provenance,
                 "payload": payload,
-            },
-            indent=indent,
+            }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        """Rebuild a record; the result is decoded by the artifact's runner."""
+        """Rebuild a record; the result is decoded by the artifact's runner.
+        Reads compact and indented records alike (older stores hold
+        ``indent=1`` record files)."""
         from repro.session.registry import get_runner
 
         data = json.loads(text)

@@ -10,11 +10,17 @@ the sweep-campaign results database:
   (or CLI ``repro --store .repro-store ...``) reads through the store
   and writes behind it, so a *cold process over a warm store* costs
   about as much as PR 1's warm in-memory path.
+  A lookup reads its entry once, as bytes, parses it once and decodes
+  it positionally (:mod:`repro.store.codec`).
 * :class:`RecordSink` — every executed artifact's
   :class:`~repro.session.record.RunRecord` is streamed to
-  ``results/<artifact>/<run_id>.json`` (run ids are content-addressed
-  and timestamp-free) and indexed in an append-only, **per-process
-  segmented** index under ``index/``.
+  ``results/<artifact>/<run_id>.json`` as one line of compact JSON
+  (:meth:`~repro.session.record.RunRecord.to_json`) and indexed in an
+  append-only, **per-process segmented** index under ``index/``.  Run
+  ids are content-addressed and timestamp-free: they hash the encoded
+  payload, never the record bytes.  Every reader goes through
+  :meth:`~repro.session.record.RunRecord.from_json`, which also reads
+  the ``indent=1`` records of older stores.
 * a query API — ``store.query(artifact="fig5", spec_fp=...)``,
   ``store.latest("fig5")``, ``store.load(run_id)``.
 * :func:`write_manifest` / :func:`write_manifest_from_store` — ``repro
@@ -53,7 +59,8 @@ running a different one.
 
 Concurrency semantics (:mod:`repro.store.locking`): any number of
 processes may share one store.  Every entry and record write is atomic
-(tmp + rename); each process appends index lines to its own
+(tmp + rename, through a temp file private to the writing process and
+thread); each process appends index lines to its own
 ``index/<pid>-<token>.jsonl`` segment, so index lines are never
 interleaved or torn mid-file; cache writers hold the store lock
 *shared* while ``store gc`` shard-pruning and manifest freezes hold it

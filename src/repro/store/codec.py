@@ -13,10 +13,18 @@ The codec is deliberately explicit per type rather than reflective:
 the on-disk schema is a contract (see :data:`SCHEMA_VERSION` in
 :mod:`repro.store.store`), and silent field drift would corrupt warm
 stores.
+
+The decoders sit on the warm store's read path, so they build each
+container positionally and **take ownership** of the freshly parsed
+JSON they are handed: a sample's ``bytes_per_s`` dict and a scenario's
+``bg_relative_rates`` list become the decoded result's own, uncopied.
+A missing field raises ``KeyError`` and a mistyped one ``TypeError``
+or ``AttributeError``, which the store reads as a cache miss.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.engine.results import (
@@ -28,6 +36,7 @@ from repro.engine.results import (
     SoloRunResult,
 )
 
+#: :class:`RegionMetrics` fields in constructor order.
 _REGION_FIELDS = (
     "instructions",
     "cycles",
@@ -37,13 +46,15 @@ _REGION_FIELDS = (
     "bus_bytes",
 )
 
+_region_values = itemgetter(*_REGION_FIELDS)
+
 
 def encode_region_metrics(rm: RegionMetrics) -> dict[str, float]:
     return {f: getattr(rm, f) for f in _REGION_FIELDS}
 
 
 def decode_region_metrics(data: dict[str, float]) -> RegionMetrics:
-    return RegionMetrics(**{f: data[f] for f in _REGION_FIELDS})
+    return RegionMetrics(*_region_values(data))
 
 
 def encode_app_metrics(am: AppMetrics) -> dict[str, Any]:
@@ -59,10 +70,10 @@ def encode_app_metrics(am: AppMetrics) -> dict[str, Any]:
 
 def decode_app_metrics(data: dict[str, Any]) -> AppMetrics:
     return AppMetrics(
-        name=data["name"],
-        threads=data["threads"],
-        runtime_s=data["runtime_s"],
-        by_region={
+        data["name"],
+        data["threads"],
+        data["runtime_s"],
+        {
             region: decode_region_metrics(rm)
             for region, rm in data["by_region"].items()
         },
@@ -76,10 +87,7 @@ def encode_timeline(timeline: list[BandwidthSample]) -> list[dict[str, Any]]:
 
 
 def decode_timeline(data: list[dict[str, Any]]) -> list[BandwidthSample]:
-    return [
-        BandwidthSample(time_s=s["time_s"], bytes_per_s=dict(s["bytes_per_s"]))
-        for s in data
-    ]
+    return [BandwidthSample(s["time_s"], s["bytes_per_s"]) for s in data]
 
 
 def encode_solo(res: SoloRunResult) -> dict[str, Any]:
@@ -91,8 +99,7 @@ def encode_solo(res: SoloRunResult) -> dict[str, Any]:
 
 def decode_solo(data: dict[str, Any]) -> SoloRunResult:
     return SoloRunResult(
-        metrics=decode_app_metrics(data["metrics"]),
-        timeline=decode_timeline(data["timeline"]),
+        decode_app_metrics(data["metrics"]), decode_timeline(data["timeline"])
     )
 
 
@@ -108,11 +115,11 @@ def encode_corun(res: CoRunResult) -> dict[str, Any]:
 
 def decode_corun(data: dict[str, Any]) -> CoRunResult:
     return CoRunResult(
-        fg=decode_app_metrics(data["fg"]),
-        bg=decode_app_metrics(data["bg"]),
-        fg_solo_runtime_s=data["fg_solo_runtime_s"],
-        bg_relative_rate=data["bg_relative_rate"],
-        timeline=decode_timeline(data["timeline"]),
+        decode_app_metrics(data["fg"]),
+        decode_app_metrics(data["bg"]),
+        data["fg_solo_runtime_s"],
+        data["bg_relative_rate"],
+        decode_timeline(data["timeline"]),
     )
 
 
@@ -127,8 +134,8 @@ def encode_scenario_result(res: ScenarioRunResult) -> dict[str, Any]:
 
 def decode_scenario_result(data: dict[str, Any]) -> ScenarioRunResult:
     return ScenarioRunResult(
-        apps=[decode_app_metrics(a) for a in data["apps"]],
-        fg_solo_runtime_s=data["fg_solo_runtime_s"],
-        bg_relative_rates=list(data["bg_relative_rates"]),
-        timeline=decode_timeline(data["timeline"]),
+        [decode_app_metrics(a) for a in data["apps"]],
+        data["fg_solo_runtime_s"],
+        data["bg_relative_rates"],
+        decode_timeline(data["timeline"]),
     )

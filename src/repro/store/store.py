@@ -24,10 +24,13 @@ different machine spec or engine configuration.
 
 Durability rules under many concurrent writer processes:
 
-* every file is written to a ``.tmp-<pid>`` sibling and published with
-  :func:`os.replace`, so readers never observe a half-written payload;
+* every file is written to a ``.tmp-<pid>-<thread>`` sibling private
+  to its writer and published with :func:`os.replace`, so readers never
+  observe a half-written payload and two writers of one path (processes
+  or threads) never rename each other's temp file;
 * readers treat unparseable or schema-mismatched files as cache misses
   (a crash mid-write costs a re-simulation, never a wrong number);
+  a cache lookup reads its entry once, as bytes, and parses it once;
 * each process appends index lines to its **own** segment file under
   ``index/`` — no two processes ever write the same index file, so
   interleaved or torn *non-tail* lines are impossible by construction;
@@ -85,17 +88,23 @@ def _safe_name(name: str) -> str:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     """Publish ``text`` at ``path`` via a same-directory rename, so a
-    crash mid-write leaves only an ignorable ``.tmp-*`` sibling."""
+    crash mid-write leaves only an ignorable ``.tmp-*`` sibling.
+
+    The temp name carries the writer's pid *and* thread: two threads of
+    one process publishing the same path (thread-pool callers sharing a
+    :class:`RecordSink`) each rename their own complete file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _read_json(path: Path) -> Any | None:
-    """Parse a JSON file; missing, torn or non-JSON files are ``None``."""
+def _read_json(path: str | Path) -> Any | None:
+    """Parse a JSON file, read once as bytes; missing, torn or non-JSON
+    files are ``None``."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        with open(path, "rb", buffering=0) as fh:
+            return json.loads(fh.read())
     except (OSError, ValueError):
         return None
 
@@ -298,7 +307,7 @@ class RecordSink:
         run_id = self.run_id_for(record)
         relpath = self.record_relpath(record, run_id)
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(self.root / relpath, record.to_json(indent=1))
+        _atomic_write_text(self.root / relpath, record.to_json())
         entry = IndexEntry(
             run_id=run_id,
             artifact=record.artifact,
@@ -392,6 +401,9 @@ class ResultStore:
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: The root as a string: cache lookups build one string path
+        #: each, never a chain of :class:`~pathlib.Path` joins.
+        self._dir = str(self.root)
         self.sink = RecordSink(self.root)
         self._check_schema()
 
@@ -415,33 +427,26 @@ class ResultStore:
 
     # -- solo / co-run cache -------------------------------------------------
 
-    def _solo_path(self, engine_fp: str, workload: str, threads: int) -> Path:
+    def _solo_path(self, engine_fp: str, workload: str, threads: int) -> str:
         keyfp = fingerprint("solo", engine_fp, workload, threads)
-        return (
-            self.root
-            / "solo"
-            / engine_fp
-            / f"{_safe_name(workload)}-t{threads}-{keyfp}.json"
-        )
+        return f"{self._dir}/solo/{engine_fp}/{_safe_name(workload)}-t{threads}-{keyfp}.json"
 
     def _corun_path(
         self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
-    ) -> Path:
+    ) -> str:
         keyfp = fingerprint("corun", engine_fp, fg, bg, fg_threads, bg_threads)
         return (
-            self.root
-            / "corun"
-            / engine_fp
-            / f"{_safe_name(fg)}-vs-{_safe_name(bg)}-{fg_threads}x{bg_threads}-{keyfp}.json"
+            f"{self._dir}/corun/{engine_fp}/"
+            f"{_safe_name(fg)}-vs-{_safe_name(bg)}-{fg_threads}x{bg_threads}-{keyfp}.json"
         )
 
-    def _publish_entry(self, path: Path, kind: str, key: dict[str, Any], result: Any) -> None:
+    def _publish_entry(self, path: str, kind: str, key: dict[str, Any], result: Any) -> None:
         """Atomically publish one cache entry under the *shared* store
         lock, so a concurrent ``gc`` (exclusive) can never prune the
         shard between this writer's key computation and its rename."""
         with store_lock(self.root, exclusive=False):
             _atomic_write_text(
-                path,
+                Path(path),
                 json.dumps(
                     {
                         "schema": SCHEMA_VERSION,
@@ -453,7 +458,7 @@ class ResultStore:
             )
 
     @staticmethod
-    def _load_entry(path: Path, kind: str, key: dict[str, Any]) -> Any | None:
+    def _load_entry(path: str, kind: str, key: dict[str, Any]) -> Any | None:
         data = _read_json(path)
         if (
             not isinstance(data, dict)
@@ -462,7 +467,7 @@ class ResultStore:
             or data.get("key") != key
         ):
             return None  # missing, torn, foreign-schema, or key collision
-        return data["result"]
+        return data.get("result")
 
     def get_solo(
         self, engine_fp: str, workload: str, threads: int
@@ -492,12 +497,12 @@ class ResultStore:
             encode_solo(result),
         )
 
-    def _scenario_path(self, engine_fp: str, scenario: Scenario) -> Path:
+    def _scenario_path(self, engine_fp: str, scenario: Scenario) -> str:
         keyfp = fingerprint("scenario", engine_fp, scenario.fingerprint)
         slug = "+".join(
             f"{_safe_name(p.workload)}.{p.threads}" for p in scenario.placements
         )[:64]
-        return self.root / "scenario" / engine_fp / f"{slug}-{keyfp}.json"
+        return f"{self._dir}/scenario/{engine_fp}/{slug}-{keyfp}.json"
 
     def get_scenario(
         self, engine_fp: str, scenario: Scenario

@@ -10,6 +10,8 @@ can never prune a shard out from under a mid-write campaign process.
 
 import json
 import multiprocessing
+import os
+import sys
 import threading
 import time
 import warnings
@@ -22,6 +24,7 @@ from repro.session import Session
 from repro.session.record import RunRecord
 from repro.store import SCHEMA_VERSION, FileLock, ResultStore, store_lock
 from repro.store.locking import HAVE_FILE_LOCKS
+from repro.store.store import _atomic_write_text
 
 SUBSET = ("G-CC", "swaptions")
 
@@ -200,6 +203,86 @@ class TestConcurrentWriters:
         assert warm.stats.solo_misses == 0
         assert warm.stats.corun_misses == 0
         assert warm.stats.corun_disk_hits == len(SUBSET) ** 2
+
+
+class TestThreadedWriters:
+    def test_two_threads_recording_one_path_both_publish(self, tmp_path, monkeypatch):
+        """Thread-pool callers may share one sink.  Two threads recording
+        the same record publish the same file; the rename is gated so
+        both temp files exist before either is renamed.  With one temp
+        name per process, the second rename would find its file already
+        taken by the first and raise ``FileNotFoundError``."""
+        store = ResultStore(tmp_path / "st")
+        record = Session(make_config()).run("table1")
+        gate = threading.Barrier(2, timeout=10)
+        first_renamed = threading.Event()
+        renamed: list[str] = []
+        real_replace = os.replace
+
+        def gated_replace(src, dst):
+            order = gate.wait()  # 0 or 1, one per thread
+            if order == 0:
+                first_renamed.wait(10)
+            try:
+                real_replace(src, dst)
+                renamed.append(os.path.basename(src))
+            finally:
+                if order == 1:
+                    first_renamed.set()
+
+        monkeypatch.setattr(os, "replace", gated_replace)
+        errors: list[BaseException] = []
+
+        def writer():
+            try:
+                store.record(record)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        monkeypatch.undo()
+        assert errors == []
+        assert len(set(renamed)) == 2 and all(".tmp-" in n for n in renamed)
+        entries = store.query(artifact="table1")
+        assert len(entries) == 2 and entries[0].run_id == entries[1].run_id
+        path = store.root / entries[0].path
+        assert path.read_text(encoding="utf-8") == record.to_json()
+        assert not list(path.parent.glob("*.tmp-*"))
+
+    def test_threads_hammering_one_path_publish_only_whole_files(self, tmp_path):
+        """More writer threads than cores, a short switch interval: every
+        publish succeeds, the file always holds one writer's whole text,
+        and no temp file is left behind."""
+        path = tmp_path / "entry.json"
+        texts = [str(i) * 50_000 for i in range(4)]
+        errors: list[BaseException] = []
+
+        def writer(text):
+            try:
+                for _ in range(50):
+                    _atomic_write_text(path, text)
+                    assert path.read_text(encoding="utf-8") in texts
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_text(encoding="utf-8") in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
 
 class TestReaderHardening:

@@ -10,6 +10,7 @@ manifest.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +93,7 @@ class TestResultStoreCache:
 
     def test_partial_file_is_a_miss(self, store):
         """A crash mid-write must cost a re-simulation, never bad data."""
-        path = store._solo_path("feedbeef0123", "G-CC", 4)
+        path = Path(store._solo_path("feedbeef0123", "G-CC", 4))
         path.parent.mkdir(parents=True)
         path.write_text('{"schema": 1, "kind": "solo", "resu')  # torn write
         assert store.get_solo("feedbeef0123", "G-CC", 4) is None
@@ -103,7 +104,7 @@ class TestResultStoreCache:
         fp = session.engine_fingerprint()
         store.put_solo(fp, "G-CC", 4, solo)
         # Leftover tmp file from a crashed writer next to the entry.
-        path = store._solo_path(fp, "G-CC", 4)
+        path = Path(store._solo_path(fp, "G-CC", 4))
         path.with_name(path.name + ".tmp-999").write_text("garbage")
         assert store.get_solo(fp, "G-CC", 4) == solo
 
@@ -111,7 +112,7 @@ class TestResultStoreCache:
         """Valid JSON envelope, broken result payload: still a miss."""
         session = Session(make_config(workloads=("swaptions",)))
         fp = session.engine_fingerprint()
-        path = store._solo_path(fp, "swaptions", 4)
+        path = Path(store._solo_path(fp, "swaptions", 4))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
             "schema": SCHEMA_VERSION,
@@ -126,7 +127,7 @@ class TestResultStoreCache:
         assert warm.stats.solo_misses == 1
 
     def test_foreign_schema_file_is_a_miss(self, store):
-        path = store._solo_path("cafecafe0123", "G-CC", 4)
+        path = Path(store._solo_path("cafecafe0123", "G-CC", 4))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"schema": 999, "kind": "solo", "result": {}}))
         assert store.get_solo("cafecafe0123", "G-CC", 4) is None
